@@ -39,11 +39,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_hotpath import (  # noqa: E402 — sibling module, not a package
     REGRESSION_FACTOR,
-    _stats,
     bench_substrate,
     check_baseline,
     default_tolerance,
 )
+from percentiles import percentile  # noqa: E402 — sibling module, not a package
 
 from repro import faults  # noqa: E402
 from repro.backends import BackendError, create_substrate  # noqa: E402
@@ -165,7 +165,7 @@ def bench_fault_class(
                 faulted = _timed(
                     lambda: compiler.compile_tree(tree, 3, substrate=pool)
                 )
-    clean_p50 = _stats(clean)["p50"]
+    clean_p50 = percentile(clean, 0.50)
     return {
         "substrate": substrate_name,
         "clean_p50_seconds": clean_p50,

@@ -40,6 +40,8 @@ from repro.distributed.compiler import CompilerConfiguration
 from repro.pascal import generate_program
 from repro.pascal.lexer import tokenize_pascal
 
+from percentiles import summary  # sibling module: benchmarks/ is on sys.path
+
 #: Default regression gate for --check-baseline: fail when p50 exceeds baseline by
 #: this factor.  Override per run with --tolerance or BENCH_HOTPATH_TOLERANCE.
 REGRESSION_FACTOR = 2.0
@@ -63,25 +65,6 @@ def default_tolerance() -> float:
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    index = (len(ordered) - 1) * q
-    lower = int(index)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = index - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
-
-
-def _stats(samples: List[float]) -> Dict[str, float]:
-    return {
-        "p50": _percentile(samples, 0.50),
-        "p95": _percentile(samples, 0.95),
-        "samples": len(samples),
-    }
 
 
 def bench_substrate(
@@ -119,7 +102,7 @@ def bench_substrate(
             phases["parse"].append(result.wall_parse_seconds)
             phases["ship"].append(result.report.wall_ship_seconds)
             phases["evaluate"].append(result.report.wall_evaluation_seconds)
-    return {phase: _stats(samples) for phase, samples in phases.items()}
+    return {phase: summary(samples) for phase, samples in phases.items()}
 
 
 def run(args: argparse.Namespace) -> Dict:

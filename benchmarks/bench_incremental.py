@@ -38,28 +38,11 @@ from typing import Dict, List
 from repro.api import Session
 from repro.pascal.programs import generate_program
 
+from percentiles import percentile, summary  # sibling module: benchmarks/ is on sys.path
+
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    index = (len(ordered) - 1) * q
-    lower = int(index)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = index - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
-
-
-def _stats(samples: List[float]) -> Dict[str, float]:
-    return {
-        "p50": _percentile(samples, 0.50),
-        "p95": _percentile(samples, 0.95),
-        "samples": len(samples),
-    }
 
 
 def run(args: argparse.Namespace) -> Dict:
@@ -103,18 +86,18 @@ def run(args: argparse.Namespace) -> Dict:
             last = doc.recompile()
             warms.append(time.perf_counter() - started)
 
-    cold_p50 = _percentile(colds, 0.50)
-    warm_p50 = _percentile(warms, 0.50)
+    cold_p50 = percentile(colds, 0.50)
+    warm_p50 = percentile(warms, 0.50)
     speedup = cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
     incremental = last.incremental
     print(f"substrate: {backend}, machines: {args.machines}")
     print(
         f"cold full build  p50 {cold_p50 * 1000:.1f}ms  "
-        f"p95 {_percentile(colds, 0.95) * 1000:.1f}ms  ({len(colds)} samples)"
+        f"p95 {percentile(colds, 0.95) * 1000:.1f}ms  ({len(colds)} samples)"
     )
     print(
         f"incremental      p50 {warm_p50 * 1000:.1f}ms  "
-        f"p95 {_percentile(warms, 0.95) * 1000:.1f}ms  ({len(warms)} samples)"
+        f"p95 {percentile(warms, 0.95) * 1000:.1f}ms  ({len(warms)} samples)"
     )
     print(
         f"speedup {speedup:.2f}x — {incremental.regions_evaluated}/"
@@ -134,8 +117,8 @@ def run(args: argparse.Namespace) -> Dict:
             "backend": backend,
             "quick": args.quick,
         },
-        "cold": _stats(colds),
-        "warm": _stats(warms),
+        "cold": summary(colds),
+        "warm": summary(warms),
         "speedup_p50": speedup,
         "regions": {
             "total": incremental.regions_total,

@@ -29,6 +29,8 @@ from typing import Dict, List
 from repro.strings.rope import Rope
 from repro.symtab.symbol_table import SymbolTable
 
+from percentiles import summary  # sibling module: benchmarks/ is on sys.path
+
 # ------------------------------------------------------- efficiency substrates
 
 
@@ -81,25 +83,6 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _percentile(samples: List[float], q: float) -> float:
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    index = (len(ordered) - 1) * q
-    lower = int(index)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = index - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
-
-
-def _stats(samples: List[float]) -> Dict[str, float]:
-    return {
-        "p50": _percentile(samples, 0.50),
-        "p95": _percentile(samples, 0.95),
-        "samples": len(samples),
-    }
-
-
 def bench_execution_substrate(
     backend: str, source: str, machines: int, iterations: int
 ) -> Dict[str, Dict[str, float]]:
@@ -118,7 +101,7 @@ def bench_execution_substrate(
             phases["ship"].append(result.report.wall_ship_seconds)
             phases["evaluate"].append(result.report.wall_evaluation_seconds)
             assert result.value == reference  # parity is part of the benchmark
-    row = {phase: _stats(samples) for phase, samples in phases.items()}
+    row = {phase: summary(samples) for phase, samples in phases.items()}
     end_to_end = row["end_to_end"]["p50"] or 1.0
     # The headline number for the sockets column: how much of a compile is spent
     # shipping regions across the wire rather than evaluating them.

@@ -51,31 +51,14 @@ if SRC_DIR not in sys.path:  # direct `python benchmarks/bench_warmstart.py` run
 from repro.api import Session  # noqa: E402
 from repro.pascal.programs import generate_program  # noqa: E402
 
+from percentiles import percentile, summary  # noqa: E402 — sibling module
+
 #: Substrates the parity leg checks for byte-identical store-on/store-off builds.
 ALL_SUBSTRATES = ("simulated", "threads", "processes", "sockets")
 
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    index = (len(ordered) - 1) * q
-    lower = int(index)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = index - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
-
-
-def _stats(samples: List[float]) -> Dict[str, float]:
-    return {
-        "p50": _percentile(samples, 0.50),
-        "p95": _percentile(samples, 0.95),
-        "samples": len(samples),
-    }
 
 
 def _digest(result: Any) -> str:
@@ -206,13 +189,13 @@ def run_restart_scenarios(args: argparse.Namespace, backend: str, workdir: str) 
             f"results diverged across lives/tiers: {len(digests)} distinct digests"
         )
 
-    cold_p50 = _percentile(colds, 0.50)
-    warm_p50 = _percentile(warms, 0.50)
-    memory_p50 = _percentile(memories, 0.50)
+    cold_p50 = percentile(colds, 0.50)
+    warm_p50 = percentile(warms, 0.50)
+    memory_p50 = percentile(memories, 0.50)
     return {
-        "cold_store": _stats(colds),
-        "warm_store": _stats(warms),
-        "warm_memory": _stats(memories),
+        "cold_store": summary(colds),
+        "warm_store": summary(warms),
+        "warm_memory": summary(memories),
         "warm_store_hits_total": warm_hits,
         "speedup_warm_store_vs_cold": cold_p50 / warm_p50 if warm_p50 else 0.0,
         "overhead_warm_store_vs_memory": (

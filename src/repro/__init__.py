@@ -3,9 +3,9 @@
 A reproduction of Boehm & Zwaenepoel, "Parallel Attribute Grammar Evaluation"
 (ICDCS 1987): attribute grammars, dynamic / static (ordered) / combined evaluators,
 interchangeable execution backends (the paper's simulated network multiprocessor plus
-real OS-thread and OS-process substrates), tree partitioning, a distributed parallel
-compiler driver with string-librarian result propagation, and a Pascal-subset compiler
-used as the headline workload.
+real OS-thread, OS-process and TCP-cluster substrates), tree partitioning, a distributed
+parallel compiler driver with string-librarian result propagation, and a Pascal-subset
+compiler used as the headline workload.
 
 The front door is :mod:`repro.api` — a language registry plus a unified
 ``Compiler``/``Session`` API over every workload and substrate::
@@ -47,7 +47,6 @@ from repro.backends import (
     BACKEND_NAMES,
     SharedBundle,
     Substrate,
-    create_backend,
     create_substrate,
 )
 from repro.distributed.compiler import (
@@ -61,7 +60,6 @@ from repro.strings import Rope, rope
 from repro.symtab import SymbolTable, st_add, st_create, st_lookup
 from repro.exprlang import (
     evaluate_expression,
-    evaluate_expression_parallel,
     expression_grammar,
     parse_expression,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "BACKEND_NAMES",
     "SharedBundle",
     "Substrate",
-    "create_backend",
     "create_substrate",
     "CompilationJob",
     "CompilationReport",
@@ -126,7 +123,6 @@ __all__ = [
     "st_create",
     "st_lookup",
     "evaluate_expression",
-    "evaluate_expression_parallel",
     "expression_grammar",
     "parse_expression",
     "ArtifactCache",

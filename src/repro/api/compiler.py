@@ -1,9 +1,7 @@
 """The unified :class:`Compiler` facade: one ``compile(source)`` for every language.
 
-Where the historical entry points hard-wired one workload each
-(``PascalCompiler.compile_parallel``, ``evaluate_expression_parallel``), the facade
-is parameterised by a registered language and a substrate choice, and always returns
-the same :class:`CompileResult` shape::
+The facade is parameterised by a registered language and a substrate choice, and
+always returns the same :class:`CompileResult` shape::
 
     from repro import Compiler
 
@@ -86,8 +84,9 @@ class Compiler:
         :class:`~repro.api.language.Language` instance).
     :param machines: default machine count per compilation.
     :param evaluator: ``"combined"`` (default) or ``"dynamic"``.
-    :param backend: one-shot substrate name (``"simulated"`` when neither ``backend``
-        nor ``substrate`` is given).
+    :param backend: substrate name for one-shot compiles — each compile creates,
+        starts and shuts down that substrate (``"simulated"`` when neither
+        ``backend`` nor ``substrate`` is given).
     :param substrate: a started persistent :class:`Substrate` to borrow — usually
         provided by :class:`repro.api.Session` rather than by hand.
     :param configuration: full :class:`CompilerConfiguration` override for callers

@@ -1,6 +1,6 @@
 """Execution backends: interchangeable substrates for the parallel compiler.
 
-Four implementations of the same :class:`~repro.backends.base.Backend` interface:
+Four implementations of the same :class:`~repro.backends.base.Substrate` interface:
 
 * ``"simulated"`` — the paper's modelled network multiprocessor (deterministic
   discrete-event simulation, simulated seconds);
@@ -12,14 +12,13 @@ Four implementations of the same :class:`~repro.backends.base.Backend` interface
   coordinator: consistent-hash sharding, heartbeats, and region reassignment
   that survives killing a worker mid-compile.
 
-Each comes in two lifecycles:
-
-* **one-shot** (:func:`create_backend`): build → spawn → run → discard, exactly the
-  original semantics — ``ParallelCompiler(grammar, backend="processes")`` or per call
-  with ``compile_tree(..., backend="threads")``;
-* **pooled** (:func:`create_substrate`): a persistent :class:`Substrate` whose worker
-  pool and mailbox registry survive across compilations —
-  ``compile_tree(..., substrate=pool)`` or the :mod:`repro.service` layer on top.
+There is one lifecycle: :func:`create_substrate` builds a :class:`Substrate` whose
+worker pool and mailbox registry survive across compilations, and each compilation
+runs as one :class:`Backend` session opened on it.  Pass a started substrate with
+``compile_tree(..., substrate=pool)`` (or let :mod:`repro.api`'s ``Session`` or the
+:mod:`repro.service` layer own it).  The ``backend="threads"`` string knob of the
+compiler is the short form: the compile creates the named substrate, runs its one
+session and shuts the substrate down again.
 """
 
 from __future__ import annotations
@@ -37,42 +36,15 @@ from repro.backends.base import (
     Substrate,
     WorkerJob,
 )
-from repro.backends.processes import ProcessesBackend, ProcessesSubstrate
+from repro.backends.processes import ProcessesSubstrate
 from repro.backends.simulated import SimulatedBackend, SimulatedSubstrate
-from repro.backends.sockets import SocketsBackend, SocketsSubstrate
-from repro.backends.threads import ThreadsBackend, ThreadsSubstrate
+from repro.backends.sockets import SocketsSubstrate
+from repro.backends.threads import ThreadsSubstrate
 from repro.runtime.cost import CostModel
 from repro.runtime.network import NetworkParameters
 
-#: Names accepted by :func:`create_backend` and the compiler's ``backend=`` knob.
+#: Names accepted by :func:`create_substrate` and the compiler's ``backend=`` knob.
 BACKEND_NAMES = ("simulated", "threads", "processes", "sockets")
-
-
-def create_backend(
-    name: str,
-    machines: int,
-    network: Optional[NetworkParameters] = None,
-    cost_model: Optional[CostModel] = None,
-    machine_speeds: Optional[List[float]] = None,
-    receive_timeout: Optional[float] = None,
-) -> Backend:
-    """Instantiate the one-shot backend called ``name``.
-
-    ``machines``/``network``/``cost_model``/``machine_speeds`` parameterise the
-    simulated cluster and are ignored by the real substrates; ``receive_timeout``
-    bounds blocking receives on the real substrates and is ignored by the simulator.
-    """
-    if name == "simulated":
-        return SimulatedBackend(
-            machines, network=network, cost_model=cost_model, machine_speeds=machine_speeds
-        )
-    if name == "threads":
-        return ThreadsBackend() if receive_timeout is None else ThreadsBackend(receive_timeout)
-    if name == "processes":
-        return ProcessesBackend() if receive_timeout is None else ProcessesBackend(receive_timeout)
-    if name == "sockets":
-        return SocketsBackend(receive_timeout=receive_timeout)
-    raise ValueError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
 
 
 def create_substrate(
@@ -110,18 +82,14 @@ __all__ = [
     "BACKEND_NAMES",
     "Compute",
     "Mailbox",
-    "ProcessesBackend",
     "ProcessesSubstrate",
     "Receive",
     "SharedBundle",
     "SimulatedBackend",
     "SimulatedSubstrate",
-    "SocketsBackend",
     "SocketsSubstrate",
     "Substrate",
-    "ThreadsBackend",
     "ThreadsSubstrate",
     "WorkerJob",
-    "create_backend",
     "create_substrate",
 ]

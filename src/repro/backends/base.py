@@ -8,11 +8,11 @@ directly.  A backend decides what those requests mean:
 * the **simulated** backend translates them into discrete-event simulator operations
   (CPU occupancy on a modelled machine, blocking mailbox reads) and charges modelled
   time — this is the paper-faithful substrate every figure is measured on;
-* the **threads** and **processes** backends execute the very same generators on real
-  OS threads / OS processes: the real CPU work happens inline between yields, so a
-  :class:`Compute` request resumes immediately (its modelled cost is ignored) and a
-  :class:`Receive` is a genuine blocking read from a ``queue.Queue`` /
-  ``multiprocessing.Queue`` mailbox.
+* the **threads**, **processes** and **sockets** backends execute the very same
+  generators on real OS threads / OS processes / worker hosts: the real CPU work
+  happens inline between yields, so a :class:`Compute` request resumes immediately
+  (its modelled cost is ignored) and a :class:`Receive` is a genuine blocking read
+  from a ``queue.Queue`` / ``multiprocessing.Queue`` / cluster mailbox.
 
 Because the process bodies never import a substrate directly, the coordinator,
 evaluator and librarian logic exists exactly once and every backend runs the identical
@@ -29,9 +29,9 @@ The contract is split in two layers:
   Sessions are created with :meth:`Substrate.session` and torn down with
   :meth:`Backend.close` (idempotent, safe on every error path).
 
-The legacy one-shot classes (``SimulatedBackend``, ``ThreadsBackend``,
-``ProcessesBackend``) remain: they are sessions bound to a private single-use
-substrate, preserving the original create→spawn→run API byte-for-byte.
+Every compilation runs as a session on a substrate.  A one-shot compile (the
+compiler's ``backend=`` name) creates a substrate, starts it, runs one session and
+shuts the substrate down, so there is no second lifecycle per substrate.
 """
 
 from __future__ import annotations
@@ -240,8 +240,9 @@ class Backend(abc.ABC):
         """Make a worker's final report visible to the coordinator.
 
         Runs out-of-band (not through the modelled network) so that publishing results
-        never perturbs modelled timings; the processes backend overrides this to ship
-        the report across the OS-process boundary.
+        never perturbs modelled timings; the worker-side transports of the processes
+        and sockets substrates override this to ship the report back to the driving
+        process.
         """
         self._reports[region_id] = report
 
@@ -285,9 +286,8 @@ class Backend(abc.ABC):
     def close(self) -> None:
         """Tear the session down (idempotent; safe before, during and after ``run``).
 
-        On a pooled substrate this aborts any of the session's still-running bodies and
-        returns leased mailboxes to the registry; on a one-shot backend it joins or
-        terminates the private worker pool.  The substrate itself stays alive.
+        This aborts any of the session's still-running bodies and returns leased
+        mailboxes to the registry.  The substrate itself stays alive.
         """
 
     def __enter__(self) -> "Backend":
@@ -312,7 +312,7 @@ class Substrate(abc.ABC):
     the :mod:`repro.service` layer builds on.
     """
 
-    #: Short name matching the ``backend=`` knob ("simulated", "threads", "processes").
+    #: Short name matching the ``backend=`` knob (one of ``BACKEND_NAMES``).
     name: str = "abstract"
 
     def __init__(self) -> None:
@@ -466,9 +466,6 @@ def blocking_receive(fifo: Any, timeout: float, failed: Any, who: str, mailbox_n
             continue
         return message
 
-
-#: Backwards-compatible alias for the pre-token polling primitive (same signature).
-poll_receive = blocking_receive
 
 
 def drain_fifo(fifo: Any, settle_timeout: float = 0.0) -> int:

@@ -1,43 +1,36 @@
-"""The multiprocessing backend: real OS processes with pickled protocol messages.
+"""The processes substrate: a pool of forked OS processes with pickled messages.
 
 Mailboxes are ``multiprocessing.Queue`` instances, so every message that crosses a
 worker boundary — linearized subtrees, boundary attribute values, code fragments,
 descriptors, results — round-trips through pickle, exactly like bytes on a wire.
 
-Two lifecycles are provided:
+:class:`ProcessesSubstrate` is a persistent pool.  ``start()`` prepares it and the
+pool forks long-lived worker processes that pull *job specs* (picklable
+:class:`~repro.backends.base.WorkerJob` descriptions, not generators) from per-worker
+job channels and survive across compilations, so fork cost is paid once, not per
+compile.  Large immutable objects (grammar + evaluation plan bundles) are shipped to
+each worker once and cached there by key; mailboxes are leased from a fixed registry
+of queues created before the first fork so that children inherit every transport
+handle they will ever need.  The pool grows on demand (``fork`` start method, so late
+workers inherit the same registry), and many run sessions may be in flight
+concurrently.  A one-shot ``backend="processes"`` compile starts a pool of its own
+and shuts it down when the compile ends.
 
-* :class:`ProcessesSubstrate` — the persistent pool.  ``start()`` forks long-lived
-  worker processes that pull *job specs* (picklable :class:`~repro.backends.base.WorkerJob`
-  descriptions, not generators) from per-worker job channels and survive across
-  compilations, so fork cost is paid once, not per compile.  Large immutable objects
-  (grammar + evaluation plan bundles) are shipped to each worker once and cached there
-  by key; mailboxes are leased from a fixed registry of queues created before the
-  first fork so that children inherit every transport handle they will ever need.
-  The pool grows on demand (``fork`` start method, so late workers inherit the same
-  registry), and many run sessions may be in flight concurrently.
-
-* :class:`ProcessesBackend` — the legacy one-shot API.  Workers are forked *after*
-  the coordinator has built the grammar and every process body, so the process bodies
-  are inherited copy-on-write and never serialised; this is the only processes path
-  that can run arbitrary in-memory generators (and unpicklable grammars).
-
-Placement (both lifecycles): worker bodies (the evaluators) execute on forked OS
-processes; coordinator bodies (parser, librarian) run on threads inside the driving
-process, where they can share the compilation outcome with the caller.  Worker reports
-come back out-of-band on a control queue via ``publish_report``.
+Placement: worker bodies (the evaluators) execute on forked OS processes; coordinator
+bodies (parser, librarian) run on threads inside the driving process, where they can
+share the compilation outcome with the caller.  Worker reports come back out-of-band
+on a control queue via ``publish_report``.
 
 Requires a POSIX ``fork`` start method (Linux/macOS); on platforms without it,
-construction raises :class:`BackendError` — use the threads backend there.
+construction raises :class:`BackendError` — use the threads substrate there.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import queue as queue_module
-import sys
 import threading
 import time
 import traceback
@@ -231,15 +224,18 @@ def _pool_worker_main(
     control: Any,
     registry: List[Any],
     abort_event: Any,
+    inherited: Dict[int, Any],
 ) -> None:
     """Entry point of a long-lived pooled worker process.
 
     Pulls pickled job specs until poisoned with ``None``.  Shared bundles (grammar +
-    plan) arrive at most once and are cached by key for every later job.  A failing or
-    aborted job is reported on the control queue and the worker stays alive for the
-    next job — one bad compilation never costs the pool a fork.
+    plan) arrive at most once and are cached by key for every later job; bundles the
+    parent already held when it forked this worker are ``inherited`` copy-on-write
+    and never shipped at all.  A failing or aborted job is reported on the control
+    queue and the worker stays alive for the next job — one bad compilation never
+    costs the pool a fork.
     """
-    shared_cache: Dict[int, Any] = {}
+    shared_cache: Dict[int, Any] = dict(inherited)
     _faults.load_from_env()
     adopted_fault_token: Optional[str] = os.environ.get(_faults.ENV_VAR)
     while True:
@@ -391,6 +387,9 @@ class ProcessesSubstrate(Substrate):
             self._stopped = True
             workers = list(self._workers)
             sessions = list(self._sessions.values())
+            leases_out = (
+                len(self._free_mailboxes) + len(self._retired_slots) < self.mailbox_capacity
+            )
         for session in sessions:
             # Fail the whole in-flight run, not just its receives: the dispatcher is
             # about to exit, so the workers' final control records will never be
@@ -422,6 +421,17 @@ class ProcessesSubstrate(Substrate):
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
+        if not leases_out and not (self._dispatcher and self._dispatcher.is_alive()):
+            # Nothing can touch the transport any more: every session has returned
+            # its drained mailboxes, and the workers and dispatcher are gone.  Close
+            # each queue so its feeder thread exits now rather than whenever the
+            # queue happens to be garbage collected.
+            fifos = [self._control, *self._registry]
+            fifos += [w.job_queue for w in workers if not w.process.is_alive()]
+            for fifo in fifos:
+                drain_fifo(fifo)
+                fifo.close()
+                fifo.join_thread()
 
     def session(
         self,
@@ -469,14 +479,16 @@ class ProcessesSubstrate(Substrate):
         self._next_worker_index += 1
         job_queue = self._context.Queue()
         abort_event = self._context.Event()
+        inherited = dict(self._shared_objects)
         process = self._context.Process(
             target=_pool_worker_main,
-            args=(index, job_queue, self._control, self._registry, abort_event),
+            args=(index, job_queue, self._control, self._registry, abort_event, inherited),
             name=f"repro-pool-worker-{index}",
             daemon=True,
         )
         process.start()
         worker = _PoolWorker(index, process, job_queue, abort_event)
+        worker.known_keys.update(inherited)
         self._workers.append(worker)
         return worker
 
@@ -484,6 +496,8 @@ class ProcessesSubstrate(Substrate):
         with self._lock:
             if not self._started:
                 raise BackendError("processes substrate not started")
+            if self._stopped:
+                raise BackendError("processes substrate has been shut down")
             if not self._free_mailboxes:
                 raise BackendError(
                     f"mailbox registry exhausted ({self.mailbox_capacity} slots); "
@@ -546,6 +560,13 @@ class ProcessesSubstrate(Substrate):
             self._next_shared_key += 1
             self._shared_ids[ident] = key
             self._shared_objects[key] = payload
+            # Pickle once up front, even when every worker will inherit the payload
+            # by fork: an unpicklable bundle fails here, not on a later respawn.
+            try:
+                self._shared_blob(key)
+            except BackendError:
+                del self._shared_ids[ident], self._shared_objects[key]
+                raise
         return key
 
     def _shared_blob(self, key: int) -> bytes:
@@ -585,15 +606,26 @@ class ProcessesSubstrate(Substrate):
         each other's messages, so a batch queued behind itself would deadlock.
         """
         with self._lock:
-            if self._stopped:
-                raise BackendError("processes substrate has been shut down")
-            free = [
-                worker
-                for worker in self._workers
-                if worker.current is None and worker.process.is_alive()
-            ]
-            while len(free) < len(jobs):
-                free.append(self._fork_worker_locked())
+            try:
+                if self._stopped:
+                    raise BackendError("processes substrate has been shut down")
+                free = [
+                    worker
+                    for worker in self._workers
+                    if worker.current is None and worker.process.is_alive()
+                ]
+                # Register the batch's bundles before growing the pool, so workers
+                # forked below inherit them instead of unpickling a shipped copy.
+                for job, _name in jobs:
+                    for obj in job.shared.values():
+                        self._shared_entry(obj)
+                while len(free) < len(jobs):
+                    free.append(self._fork_worker_locked())
+            except BaseException:
+                # No job was enqueued: settle the whole batch so close() doesn't
+                # wait for completions that can never arrive.
+                session._account_unsubmitted(len(jobs))
+                raise
             active_plan = _faults.ACTIVE
             fault_token = active_plan.encode() if active_plan is not None else None
             for index, ((job, name), worker) in enumerate(zip(jobs, free)):
@@ -614,8 +646,7 @@ class ProcessesSubstrate(Substrate):
                     except Exception as error:
                         raise BackendError(
                             f"worker job {name!r} is not picklable for the pooled "
-                            "processes substrate; use the threads substrate or the "
-                            "one-shot ProcessesBackend"
+                            "processes substrate; use the threads substrate"
                         ) from error
                     # A stale abort (from a previous assignment, already settled
                     # under this lock) must not leak into the job about to be queued;
@@ -863,7 +894,7 @@ class ProcessesSession(Backend):
         if not isinstance(body, WorkerJob):
             raise BackendError(
                 "pooled processes workers run from picklable WorkerJob specs; "
-                "spawn raw generator bodies on the one-shot ProcessesBackend instead"
+                "spawn raw generator bodies on the threads substrate instead"
             )
         self._worker_count += 1
         self._worker_jobs.append((body, name))
@@ -1076,318 +1107,3 @@ class ProcessesSession(Backend):
         return blocking_receive(
             mailbox.queue, self.receive_timeout, self._failed, who, mailbox.name
         )
-
-
-# ------------------------------------------------------------------ one-shot API
-
-
-class ProcessesBackend(Backend):
-    """Run the distributed protocol on freshly forked OS processes (one-shot).
-
-    Workers are forked *after* the coordinator has built the grammar, the evaluation
-    plan and every process body, so the (possibly unpicklable, closure-rich) grammar
-    machinery is inherited copy-on-write and never serialised; only protocol messages
-    travel between processes.  For a persistent pool that amortises the fork cost
-    across many compilations, use :class:`ProcessesSubstrate`.
-    """
-
-    name = "processes"
-    packed_wire = True
-    shared_ship = True
-
-    def __init__(self, receive_timeout: float = 120.0):
-        super().__init__()
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError as error:
-            raise BackendError(
-                "the processes backend requires the 'fork' multiprocessing start "
-                "method (POSIX only); use backend='threads' on this platform"
-            ) from error
-        self.receive_timeout = receive_timeout
-        self._workers: List[Tuple[Generator, str]] = []
-        self._coordinators: List[Tuple[Generator, str]] = []
-        self._control = self._context.Queue()
-        self._failed = threading.Event()
-        self._errors: List[Tuple[str, str]] = []
-        self._lock = threading.Lock()
-        self._messages = 0
-        self._bytes = 0
-        self._net_records_seen = 0
-        self._start: Optional[float] = None
-        self._in_child = False
-        self._children: List[Any] = []
-        self._closed = False
-        self._mailboxes: List[QueueMailbox] = []
-        self._live_coordinators = 0
-
-    # ----------------------------------------------------------------- plumbing
-
-    def mailbox(self, name: str) -> QueueMailbox:
-        mailbox = QueueMailbox(name, self._context.Queue())
-        self._mailboxes.append(mailbox)
-        return mailbox
-
-    def spawn(
-        self,
-        body: Any,
-        *,
-        name: str,
-        machine: int = 0,
-        coordinator: bool = False,
-    ) -> None:
-        if isinstance(body, WorkerJob):
-            # Materialised pre-fork: the body is inherited copy-on-write, so even
-            # unpicklable grammars work on the one-shot path.
-            body = body.materialize(self)
-        if coordinator:
-            self._coordinators.append((body, name))
-        else:
-            self._worker_count += 1
-            self._workers.append((body, name))
-
-    def send(
-        self,
-        source: int,
-        destination: int,
-        message: Any,
-        size_bytes: int,
-        mailbox: Mailbox,
-    ) -> None:
-        assert isinstance(mailbox, QueueMailbox)
-        messages = [message]
-        if _faults.ACTIVE is not None:
-            replacement = apply_send_faults(mailbox.name, message)
-            if replacement is not None:
-                messages = replacement
-        for item in messages:
-            mailbox.queue.put(item)
-        with self._lock:
-            self._messages += len(messages)
-            self._bytes += size_bytes * len(messages)
-
-    def publish_report(self, region_id: int, report: Any) -> None:
-        if self._in_child:
-            self._control.put(("report", region_id, report))
-        else:
-            super().publish_report(region_id, report)
-
-    def run(self) -> float:
-        self._start = time.perf_counter()
-        # Fork the workers before starting any coordinator thread (and hence before the
-        # first queue put): forking a process with live queue feeder threads is unsafe.
-        children = [
-            self._context.Process(target=self._child_main, args=(body, name), name=name, daemon=True)
-            for body, name in self._workers
-        ]
-        self._children = children
-        for child in children:
-            child.start()
-        self._live_coordinators = len(self._coordinators)
-        coordinator_threads = [
-            threading.Thread(
-                target=self._run_coordinator, args=(body, name), name=name, daemon=True
-            )
-            for body, name in self._coordinators
-        ]
-        for thread in coordinator_threads:
-            thread.start()
-
-        pending_children = {child.name: child for child in children}
-        # The monitor sleeps until something actually happens: a control record
-        # arrives (the queue's reader pipe becomes readable) or a child process
-        # exits (its sentinel fires); finishing coordinators enqueue a wake record.
-        # The timeout is only a safety net, not the detection mechanism.
-        control_reader = getattr(self._control, "_reader", None)
-        try:
-            while True:
-                self._drain_control_nowait()
-                for name, child in list(pending_children.items()):
-                    if not child.is_alive():
-                        child.join()
-                        if child.exitcode not in (0, None):
-                            with self._lock:
-                                if not any(entry[0] == name for entry in self._errors):
-                                    self._errors.append(
-                                        (name, f"worker process exited with code {child.exitcode}")
-                                    )
-                            self._fail()
-                        del pending_children[name]
-                if self._failed.is_set():
-                    break
-                with self._lock:
-                    coordinators_done = self._live_coordinators == 0
-                if not pending_children and coordinators_done:
-                    break
-                if control_reader is not None:
-                    multiprocessing.connection.wait(
-                        [control_reader]
-                        + [child.sentinel for child in pending_children.values()],
-                        timeout=0.5,
-                    )
-                else:  # pragma: no cover — transport without a reader pipe
-                    time.sleep(0.05)
-        finally:
-            # Also terminate on exceptions that bypass the error plumbing (e.g. a
-            # KeyboardInterrupt in this monitor loop) — otherwise healthy children
-            # blocked in a receive would pin the join below for the full timeout.
-            aborting = self._failed.is_set() or sys.exc_info()[0] is not None
-            if aborting:
-                for child in pending_children.values():
-                    if child.is_alive():
-                        child.terminate()
-            for child in pending_children.values():
-                child.join()
-            for thread in coordinator_threads:
-                thread.join()
-            # Each child enqueues its report and then its network-counter record just
-            # before exiting, and the queue's feeder pipe can lag the join: keep
-            # draining until both have landed for every worker (bounded, in case a
-            # child died before publishing).  Each read blocks only until the next
-            # record arrives — nothing waits out a fixed window once the counts are in.
-            drain_deadline = time.monotonic() + 5.0
-            self._drain_control_nowait()
-            while (
-                (len(self._reports) < self._worker_count
-                 or self._net_records_seen < self._worker_count)
-                and not self._errors
-                and not aborting
-            ):
-                remaining = drain_deadline - time.monotonic()
-                if remaining <= 0 or not self._drain_one(remaining):
-                    break
-
-        if self._errors:
-            name, detail = self._errors[0]
-            raise BackendError(f"worker {name!r} failed: {detail}")
-        return time.perf_counter() - self._start
-
-    @property
-    def now(self) -> float:
-        if self._start is None:
-            return 0.0
-        return time.perf_counter() - self._start
-
-    def telemetry(self) -> BackendTelemetry:
-        return BackendTelemetry(network_messages=self._messages, network_bytes=self._bytes)
-
-    def close(self) -> None:
-        """Terminate any forked worker still alive (idempotent, safe on every path).
-
-        ``run()`` already joins or terminates its children in its own ``finally``;
-        this is the last line of defence for error paths that never reach ``run`` or
-        that abandon the backend between ``run`` and report collection.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._failed.set()
-            with self._lock:
-                coordinators_blocked = self._live_coordinators > 0
-            if coordinators_blocked:
-                # Only a run abandoned mid-flight can still have a coordinator asleep
-                # in a receive; a cleanly finished run must not get garbage wake
-                # tokens.
-                self._fail()
-            for child in self._children:
-                if child.is_alive():
-                    child.terminate()
-            for child in self._children:
-                child.join(timeout=5.0)
-        finally:
-            self.release_segments()
-
-    # ---------------------------------------------------------------- internals
-
-    def _fail(self) -> None:
-        """Flag the run failed and wake every receiver blocked on one of its
-        mailboxes (coordinator threads; children also get terminated by ``run``)."""
-        self._failed.set()
-        if not self._in_child:
-            for mailbox in self._mailboxes:
-                mailbox.queue.put(WakeToken("run failed"))
-
-    def _child_main(self, body: Generator, name: str) -> None:
-        """Entry point of a forked worker process."""
-        self._in_child = True
-        self._start = time.perf_counter()
-        try:
-            drive(body, lambda mailbox: self._child_receive(mailbox, name))
-            self._control.put(("net", self._messages, self._bytes))
-        except BaseException:  # noqa: BLE001 — shipped to the parent, then re-raised
-            self._control.put(("error", name, traceback.format_exc()))
-            raise
-
-    def _child_receive(self, mailbox: QueueMailbox, who: str) -> Any:
-        if _faults.ACTIVE is not None:
-            apply_receive_faults(who, mailbox.name)
-            hit = _faults.ACTIVE.check("worker.crash", who)
-            if hit is not None:
-                if hit.action == "crash":
-                    time.sleep(0.05)  # let the control queue's feeder flush
-                    os._exit(3)
-                raise FaultError("worker.crash", hit.action, who)
-        deadline = time.monotonic() + self.receive_timeout
-        while True:
-            message = deadline_get(
-                mailbox.queue, deadline, self.receive_timeout, who, mailbox.name
-            )
-            if isinstance(message, WakeToken):
-                continue  # parent-side wake for a failure we learn about via terminate
-            return message
-
-    def _run_coordinator(self, body: Generator, name: str) -> None:
-        try:
-            drive(body, lambda mailbox: self._coordinator_receive(mailbox, name))
-        except BaseException as error:  # noqa: BLE001 — reported via run()
-            with self._lock:
-                self._errors.append((name, repr(error)))
-            self._fail()
-        finally:
-            with self._lock:
-                self._live_coordinators -= 1
-            # Wake the monitor loop so coordinator completion is seen immediately.
-            self._control.put(None)
-
-    def _coordinator_receive(self, mailbox: QueueMailbox, who: str) -> Any:
-        return blocking_receive(
-            mailbox.queue, self.receive_timeout, self._failed, who, mailbox.name
-        )
-
-    def _drain_control_nowait(self) -> None:
-        """Absorb every already-queued report/telemetry/error record, never blocking."""
-        while self._drain_one(0.0):
-            pass
-
-    def _drain_one(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds for one control record; False when none came."""
-        try:
-            if timeout <= 0:
-                record = self._control.get_nowait()
-            else:
-                record = self._control.get(timeout=timeout)
-        except queue_module.Empty:
-            return False
-        if record is None:  # wake record from a finishing coordinator thread
-            return True
-        tag = record[0]
-        if tag == "report":
-            self._reports[record[1]] = record[2]
-        elif tag == "net":
-            with self._lock:
-                self._messages += record[1]
-                self._bytes += record[2]
-                self._net_records_seen += 1
-        elif tag == "error":
-            with self._lock:
-                # A child's traceback beats the bare exit-code diagnostic that the
-                # liveness check may already have recorded for the same worker.
-                self._errors = [
-                    entry
-                    for entry in self._errors
-                    if not (entry[0] == record[1] and "exited with code" in entry[1])
-                ]
-                self._errors.insert(0, (record[1], record[2]))
-            self._fail()
-        return True

@@ -484,69 +484,3 @@ class SocketsSession(Backend):
         return blocking_receive(
             mailbox.queue, self.receive_timeout, self._failed, who, mailbox.name
         )
-
-
-# ------------------------------------------------------------------ one-shot API
-
-
-class SocketsBackend(Backend):
-    """One-shot sockets lifecycle: a private loopback cluster for a single run.
-
-    Matches the create→spawn→run→close shape of the other one-shot backends, at
-    the cost of spawning (and then discarding) a small local worker fleet per
-    compilation — for repeated compiles use :class:`SocketsSubstrate` and keep
-    the fleet warm.
-    """
-
-    name = "sockets"
-    packed_wire = True
-
-    def __init__(self, receive_timeout: Optional[float] = None, workers: int = 2):
-        super().__init__()
-        self._substrate = SocketsSubstrate(
-            workers=workers, receive_timeout=receive_timeout
-        )
-        self._substrate.start()
-        self._session = self._substrate.session()
-        self._closed = False
-
-    def mailbox(self, name: str) -> ClusterMailbox:
-        return self._session.mailbox(name)
-
-    def spawn(self, body: Any, *, name: str, machine: int = 0,
-              coordinator: bool = False) -> None:
-        self._session.spawn(body, name=name, machine=machine, coordinator=coordinator)
-
-    def send(self, source: int, destination: int, message: Any, size_bytes: int,
-             mailbox: Mailbox) -> None:
-        self._session.send(source, destination, message, size_bytes, mailbox)
-
-    def run(self) -> float:
-        return self._session.run()
-
-    @property
-    def now(self) -> float:
-        return self._session.now
-
-    def publish_report(self, region_id: int, report: Any) -> None:
-        self._session.publish_report(region_id, report)
-
-    @property
-    def reports(self) -> Dict[int, Any]:
-        return self._session.reports
-
-    @property
-    def worker_count(self) -> int:
-        return self._session.worker_count
-
-    def telemetry(self) -> BackendTelemetry:
-        return self._session.telemetry()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._session.close()
-        finally:
-            self._substrate.shutdown()

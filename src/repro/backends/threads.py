@@ -6,16 +6,13 @@ real *concurrency* (overlapping blocking waits, true message passing) rather tha
 parallel speedup — but it exercises the identical protocol code on a real substrate and
 is the cheapest way to run the evaluators off the simulator.
 
-Two lifecycles share the implementation:
-
-* :class:`ThreadsSubstrate` — the persistent pool: long-lived worker threads pull
-  process bodies from a shared job channel and survive across compilations, so
-  per-compilation thread spawn/join cost disappears and many run sessions can execute
-  concurrently on one pool (the pool grows on demand so that every body of a session
-  can run at once — bodies block on each other's messages, so a session's batch must
-  never queue behind itself);
-* :class:`ThreadsBackend` — the legacy one-shot API: a single run session bound to a
-  private pool that is started lazily and retired when the run finishes.
+:class:`ThreadsSubstrate` is a persistent pool: long-lived worker threads pull
+process bodies from a shared job channel and survive across compilations, so
+per-compilation thread spawn/join cost disappears and many run sessions can execute
+concurrently on one pool (the pool grows on demand so that every body of a session
+can run at once — bodies block on each other's messages, so a session's batch must
+never queue behind itself).  A one-shot ``backend="threads"`` compile starts a pool
+of its own and shuts it down when the compile ends.
 
 Failure handling: any body that raises flips the owning *session's* failure flag and
 injects a :class:`~repro.backends.base.WakeToken` into every mailbox of the session;
@@ -379,30 +376,3 @@ class ThreadsSession(Backend):
             self._remaining -= 1
             if self._remaining == 0:
                 self._done.set()
-
-
-class ThreadsBackend(ThreadsSession):
-    """The one-shot threads API: a session bound to a private single-use pool.
-
-    Preserves the original create→spawn→run semantics (one fresh thread per body)
-    while being expressed through the substrate/session split: the private pool
-    starts empty, grows to exactly one thread per body on ``run()``, and is retired
-    when the run finishes or the session is closed.
-    """
-
-    def __init__(self, receive_timeout: float = 60.0):
-        substrate = ThreadsSubstrate(workers=0, receive_timeout=receive_timeout)
-        substrate.start()
-        super().__init__(substrate, receive_timeout)
-
-    def run(self) -> float:
-        try:
-            return super().run()
-        finally:
-            # Every body has finished (run waits for stragglers even on failure), so
-            # the private pool can be torn down immediately.
-            self._substrate.shutdown()
-
-    def close(self) -> None:
-        super().close()
-        self._substrate.shutdown()

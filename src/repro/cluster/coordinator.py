@@ -322,6 +322,13 @@ class ClusterCoordinator:
             conn.enqueue(("shutdown",))
             conn.enqueue(None)
         if server is not None:
+            # close() alone does not wake a thread blocked in accept() on Linux
+            # (the accept thread would sit out its join timeout below and stay
+            # blocked); shutting the listening socket down first does.
+            try:
+                server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 server.close()
             except OSError:
@@ -334,6 +341,10 @@ class ClusterCoordinator:
         for thread in (self._accept_thread, self._monitor_thread):
             if thread is not None:
                 thread.join(timeout=5.0)
+        # Each connection thread ends once its socket is closed above; join them
+        # too, so no coordinator thread outlives shutdown().
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> int:
         """Block until ``count`` workers are alive (or the timeout elapses)."""
@@ -631,19 +642,22 @@ class ClusterCoordinator:
         advertised = greeting.get("capabilities", {}).get("bundle_digests")
         if isinstance(advertised, (list, tuple, set)):
             conn.store_digests = {d for d in advertised if isinstance(d, str)}
-        with self._lock:
-            if self._stopped:
-                sock.close()
-                return
-            self._conns[info.worker_id] = conn
-            self._ring.add(str(info.worker_id))
-            waiting = list(self._awaiting_worker)
-            self._awaiting_worker = []
         conn.writer = threading.Thread(
             target=self._writer_loop, args=(conn,),
             name=f"repro-cluster-writer-{info.worker_id}", daemon=True,
         )
-        conn.writer.start()
+        with self._lock:
+            if self._stopped:
+                sock.close()
+                return
+            # Publish the connection and start its writer as one step: shutdown()
+            # snapshots published connections under this lock and joins their
+            # writers, which must therefore already be running.
+            self._conns[info.worker_id] = conn
+            self._ring.add(str(info.worker_id))
+            conn.writer.start()
+            waiting = list(self._awaiting_worker)
+            self._awaiting_worker = []
         try:
             wire.send_message(conn.wfile, wire.welcome(info.worker_id, self.heartbeat_interval))
         except (wire.ProtocolError, OSError) as error:

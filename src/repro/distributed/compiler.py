@@ -7,16 +7,18 @@ attribute values, and the root attributes flow back to the parser (optionally ro
 code strings through the string librarian).
 
 The coordinator/evaluator/librarian processes are written once against the backend
-interface in :mod:`repro.backends`, so the same protocol runs on three interchangeable
+interface in :mod:`repro.backends`, so the same protocol runs on four interchangeable
 substrates selected by the ``backend`` knob:
 
 * ``"simulated"`` (default) — the paper's modelled cluster; the returned
   :class:`CompilationReport` carries simulated times, per-machine activity timelines,
   message statistics and evaluator statistics — the raw material for every figure in
   the paper's evaluation section;
-* ``"threads"`` — one OS thread per evaluator region (``queue.Queue`` mailboxes);
-* ``"processes"`` — one forked OS process per evaluator region (pickled protocol
-  messages over ``multiprocessing.Queue``).
+* ``"threads"`` — one pooled OS thread per evaluator region (``queue.Queue``
+  mailboxes);
+* ``"processes"`` — one pooled forked OS process per evaluator region (pickled
+  protocol messages over ``multiprocessing.Queue``);
+* ``"sockets"`` — evaluator regions on worker host processes reached over TCP.
 
 Every report additionally carries wall-clock timings, so real and simulated runs can be
 compared side by side.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.visit_sequences import OrderedEvaluationPlan, build_evaluation_plan
-from repro.backends import Backend, Substrate, create_backend
+from repro.backends import Backend, Substrate, create_substrate
 from repro.backends.base import (
     BackendError,
     Compute,
@@ -72,8 +74,8 @@ class CompilerConfiguration:
     """Tunable knobs of the parallel compiler.
 
     :param evaluator: ``"combined"`` (the paper's contribution) or ``"dynamic"``.
-    :param backend: execution substrate — ``"simulated"``, ``"threads"`` or
-        ``"processes"`` (see :mod:`repro.backends`).
+    :param backend: execution substrate — ``"simulated"``, ``"threads"``,
+        ``"processes"`` or ``"sockets"`` (see :mod:`repro.backends`).
     :param use_librarian: route code attributes through the string librarian instead of
         shipping full code strings up the evaluator tree.
     :param librarian_attributes: names of root/split synthesized attributes treated as
@@ -154,9 +156,9 @@ class CompilationReport:
     wall_ship_seconds: float = 0.0
     #: Wall-clock seconds the caller spent parsing the source into the tree this
     #: compilation ran on.  ``compile_tree`` cannot measure it (it receives a parsed
-    #: tree), so the front door (:class:`repro.api.Compiler`, the service layer and
-    #: the deprecated per-workload shims) stamps it after the run; stays 0.0 when the
-    #: caller never parsed (e.g. a pre-built tree swept over machine counts).
+    #: tree), so the front door (:class:`repro.api.Compiler` and the service layer)
+    #: stamps it after the run; stays 0.0 when the caller never parsed (e.g. a
+    #: pre-built tree swept over machine counts).
     wall_parse_seconds: float = 0.0
     #: Region-artifact cache accounting for this compilation: how many regions were
     #: replayed from the content-addressed cache and how many were (re-)evaluated.
@@ -245,11 +247,13 @@ class ParallelCompiler:
     name-keyed engines across call sites.  Construct a raw ``ParallelCompiler``
     only for grammars that are not (and should not be) registered as languages.
 
-    By default every :meth:`compile_tree` call builds a one-shot backend (spawn
-    workers, run, tear down).  Pass a started :class:`~repro.backends.base.Substrate`
-    — at construction or per call — and the compiler becomes a thin client of that
-    persistent pool instead: each compilation borrows a run session, long-lived
-    workers pull the evaluator jobs, and the substrate survives for the next call.
+    Every compilation runs as one session on a :class:`~repro.backends.base.Substrate`.
+    By default :meth:`compile_tree` creates a substrate for the ``backend`` name,
+    starts it, runs the one session and shuts it down again, even when the run
+    raises.  Pass a started substrate — at construction or per call — and the
+    compiler becomes a thin client of that persistent pool instead: each
+    compilation borrows a run session, long-lived workers pull the evaluator jobs,
+    and the substrate survives for the next call.
     """
 
     def __init__(
@@ -334,33 +338,41 @@ class ParallelCompiler:
         bound = config.receive_timeout
         if receive_timeout is not None:
             bound = receive_timeout if bound is None else min(bound, receive_timeout)
-        if pool is not None:
-            session = pool.session(machines, receive_timeout=bound)
-        else:
-            session = create_backend(
+        owned: Optional[Substrate] = None
+        if pool is None:
+            # A one-shot compile borrows a short-lived substrate of its own: the
+            # same pooled machinery, started here and shut down below whatever
+            # happens, so no worker outlives this call.
+            owned = pool = create_substrate(
                 backend or self.backend,
-                machines,
                 network=config.network,
                 cost_model=config.cost_model,
                 receive_timeout=bound,
             )
-        # Everything from here on runs under the session's teardown guarantee: if the
-        # run (or report collection) raises, close() joins/terminates this
-        # compilation's workers instead of leaking them.
         try:
-            return self._compile_on_session(
-                session,
-                tree,
-                machines,
-                decomposition,
-                root_inherited,
-                parse_time,
-                tree_nodes,
-                wall_started,
-                incremental=incremental,
-            )
+            if owned is not None:
+                owned.start()
+            session = pool.session(machines, receive_timeout=bound)
+            # Everything from here on runs under the session's teardown guarantee:
+            # if the run (or report collection) raises, close() joins/terminates
+            # this compilation's workers instead of leaking them.
+            try:
+                return self._compile_on_session(
+                    session,
+                    tree,
+                    machines,
+                    decomposition,
+                    root_inherited,
+                    parse_time,
+                    tree_nodes,
+                    wall_started,
+                    incremental=incremental,
+                )
+            finally:
+                session.close()
         finally:
-            session.close()
+            if owned is not None:
+                owned.shutdown()
 
     # --------------------------------------------------------------- internals
 

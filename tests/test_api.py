@@ -1,16 +1,15 @@
-"""Tests for the ``repro.api`` front door: registry, Compiler, Session, shims.
+"""Tests for the ``repro.api`` front door: registry, Compiler, Session.
 
 Covers the language registry (duplicate/unknown names, custom registration), the
 uniform ``Compiler``/``CompileResult`` facade, mixed-language service streams with
-parity across all four substrates, equivalence of the deprecated per-workload
-entry points with the new API, idempotent Session/Substrate teardown, and the
+parity across all four substrates against the one-shot simulated compile, custom
+grammars through the front door, idempotent Session/Substrate teardown, and the
 per-phase (parse vs compile) wall-clock decomposition.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 
 import pytest
 
@@ -29,10 +28,10 @@ from repro import (
     register_language,
 )
 from repro.api.language import engine_for, unregister_language
-from repro.backends import SharedBundle, create_substrate
+from repro.backends import BackendError, SharedBundle, create_substrate
 from repro.exprlang import random_expression_source
 from repro.parsing import Lexer, TokenSpec
-from repro.pascal import PascalCompiler, generate_program
+from repro.pascal import generate_program
 
 
 def _fork_available() -> bool:
@@ -143,6 +142,16 @@ class TestRegistry:
         assert result.ok
         assert result.report.decomposition.region_count > 1  # genuinely split
 
+    @requires_fork
+    def test_unpicklable_grammar_is_a_typed_error_on_processes(self, wordcount):
+        """The processes substrate ships grammar bundles by pickle, so a grammar
+        with a lambda rule fails typed there, and the owned pool still goes."""
+        source = " ".join(f"w{i}" for i in range(120))
+        compiler = Compiler("wordcount", machines=3, backend="processes")
+        with pytest.raises(BackendError, match="picklable"):
+            compiler.compile(source)
+        assert multiprocessing.active_children() == []
+
     def test_shared_engine_is_cached_per_language(self):
         assert engine_for("exprlang") is engine_for("exprlang")
         assert engine_for("exprlang") is not engine_for("exprlang", "dynamic")
@@ -241,15 +250,12 @@ class TestMixedLanguageService:
             procedures=2, statements_per_procedure=2, seed=5
         )
 
-        # The old per-workload entry points (simulated one-shot) are the baseline.
-        pascal = PascalCompiler()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected_code = pascal.compile_parallel(pascal_source, 3).code_text("code")
-            expected_values = [
-                repro.evaluate_expression_parallel(source, machines=2)
-                for source in expr_sources
-            ]
+        # One-shot simulated compiles are the baseline.
+        expected_code = Compiler("pascal", machines=3).compile(pascal_source).value
+        expected_values = [
+            Compiler("exprlang", machines=2).compile(source).value
+            for source in expr_sources
+        ]
 
         jobs = [
             CompilationJob(language="exprlang", source=source, machines=2)
@@ -283,42 +289,32 @@ class TestMixedLanguageService:
         assert resolved_tree is tree
 
 
-# ----------------------------------------------------------- deprecation shims
+# ------------------------------------------------- what the removed shims offered
 
 
 class TestDeprecationShims:
-    def test_compile_parallel_warns_and_matches_new_api(self):
-        source = generate_program(procedures=2, statements_per_procedure=2, seed=9)
-        pascal = PascalCompiler()
-        with pytest.warns(DeprecationWarning):
-            old = pascal.compile_parallel(source, 3)
-        new = Compiler("pascal", machines=3).compile(source)
-        assert old.code_text("code") == new.value
-        assert tuple(old.root_attributes["errs"]) == new.errors
-
-    def test_compile_tree_parallel_warns_and_matches_new_api(self):
-        source = generate_program(procedures=2, statements_per_procedure=2, seed=9)
-        pascal = PascalCompiler()
-        tree = pascal.parse(source)
-        with pytest.warns(DeprecationWarning):
-            old = pascal.compile_tree_parallel(tree, 2)
-        new = Compiler("pascal", machines=2).compile_tree(pascal.parse(source))
-        assert old.code_text("code") == new.value
-
-    def test_evaluate_expression_parallel_warns_and_matches_new_api(self):
-        with pytest.warns(DeprecationWarning):
-            old = repro.evaluate_expression_parallel(EXPR_SOURCE, machines=2)
-        assert old == Compiler("exprlang").compile(EXPR_SOURCE).value == 7
+    """The per-workload shims are gone; what they offered beyond the front door
+    (a custom grammar for the expression language) still works through it."""
 
     def test_shim_honours_custom_grammar(self):
+        from repro.exprlang import tokenize_expression
         from repro.exprlang.grammar import expression_grammar
 
         grammar = expression_grammar(min_split_size=8)
-        with pytest.warns(DeprecationWarning):
-            value = repro.evaluate_expression_parallel(
-                EXPR_SOURCE, machines=2, grammar=grammar
-            )
-        assert value == 7
+        language = GrammarLanguage(
+            "exprlang-fine-split",
+            grammar,
+            tokenize=tokenize_expression,
+            result_attribute="value",
+            error_attribute=None,
+        )
+        register_language(language)
+        try:
+            result = Compiler("exprlang-fine-split", machines=2).compile(EXPR_SOURCE)
+        finally:
+            unregister_language("exprlang-fine-split")
+        assert result.value == 7
+        assert result.report.decomposition.region_count > 1
 
 
 # ------------------------------------------------------------ session lifecycle

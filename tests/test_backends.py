@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import pickle
 import queue as queue_module
+import subprocess
+import threading
 
 import pytest
 
-from repro.backends import BACKEND_NAMES, BackendError, create_backend
+from repro.api import Compiler
+from repro.backends import BACKEND_NAMES, BackendError, create_substrate
 from repro.backends.base import Compute, Receive
 from repro.distributed.compiler import CompilerConfiguration, ParallelCompiler
 from repro.distributed.protocol import (
@@ -60,15 +64,26 @@ def pascal_setup():
     return compiler, compiler.parse(source)
 
 
+@contextlib.contextmanager
+def threads_session(receive_timeout):
+    """One run session on a private threads substrate, torn down on exit."""
+    with create_substrate("threads", receive_timeout=receive_timeout) as pool:
+        with pool.session(1) as session:
+            yield session
+
+
 class TestBackendFactory:
     def test_known_names(self):
         assert BACKEND_NAMES == ("simulated", "threads", "processes", "sockets")
         for name in ("simulated", "threads"):
-            assert create_backend(name, machines=2).name == name
+            with create_substrate(name) as pool:
+                assert pool.name == name
+                with pool.session(2) as session:
+                    assert session.name == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            create_backend("quantum", machines=2)
+            create_substrate("quantum")
         with pytest.raises(ValueError):
             ParallelCompiler(
                 expression_grammar(), backend="quantum"
@@ -91,9 +106,9 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("backend", REAL_BACKENDS)
     def test_pascal_code_byte_identical(self, pascal_setup, backend):
-        compiler, tree = pascal_setup
-        simulated = compiler.compile_tree_parallel(tree, 4)
-        real = compiler.compile_tree_parallel(tree, 4, backend=backend)
+        _compiler, tree = pascal_setup
+        simulated = Compiler("pascal", machines=4).compile_tree(tree).report
+        real = Compiler("pascal", machines=4, backend=backend).compile_tree(tree).report
         assert real.code_text("code") == simulated.code_text("code")
         assert real.root_attributes["errs"] == simulated.root_attributes["errs"]
         assert set(real.root_attributes) == set(simulated.root_attributes)
@@ -270,6 +285,52 @@ class TestReportSummary:
         assert "memory" not in summary
 
 
+class TestOwnedSubstrateLeaks:
+    """A ``backend=`` compile owns the substrate it runs on and always shuts it
+    down: after a success or a run that a fault plan makes fail, no child
+    process, thread or shared-memory segment it started is left behind."""
+
+    @pytest.mark.parametrize("outcome", ["success", "fault"])
+    @pytest.mark.parametrize("backend", REAL_BACKENDS)
+    def test_nothing_left_behind(
+        self, split_grammar, big_expression, backend, outcome, monkeypatch
+    ):
+        from repro import faults
+        from repro.faults import FaultError, FaultPlan, FaultRule
+        from repro.tree import shm
+
+        popens = []
+
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                popens.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+        threads_before = set(threading.enumerate())
+        compiler = ParallelCompiler(split_grammar, CompilerConfiguration(receive_timeout=20))
+        if outcome == "success":
+            report = compiler.compile_tree(big_expression, 4, backend=backend)
+            assert report.worker_count == report.decomposition.region_count
+        else:
+            plan = FaultPlan(seed=7, rules=[FaultRule("mailbox.receive", action="error")])
+            with faults.active(plan), pytest.raises((FaultError, BackendError)):
+                compiler.compile_tree(big_expression, 4, backend=backend)
+            assert plan.injected >= 1
+
+        assert multiprocessing.active_children() == []
+        assert [popen.poll() for popen in popens].count(None) == 0
+        extra = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in threads_before and thread.is_alive()
+        ]
+        assert extra == []
+        assert shm.live_segment_names() == []
+        if backend == "sockets":
+            assert len(popens) >= 2  # the owned fleet really was spawned
+
+
 @requires_fork
 class TestProcessesPlacement:
     """Acceptance: the paper workload runs on >= 4 real worker processes."""
@@ -278,8 +339,13 @@ class TestProcessesPlacement:
         from repro.experiments.workload import default_workload
 
         workload = default_workload()
-        simulated = workload.compiler.compile_tree_parallel(workload.tree, 4)
-        real = workload.compiler.compile_tree_parallel(workload.tree, 4, backend="processes")
+        configuration = workload.compiler.configuration
+        simulated = Compiler(
+            "pascal", machines=4, configuration=configuration
+        ).compile_tree(workload.tree).report
+        real = Compiler(
+            "pascal", machines=4, backend="processes", configuration=configuration
+        ).compile_tree(workload.tree).report
         assert real.worker_count >= 4
         assert real.code_text("code") == simulated.code_text("code")
         assert real.wall_evaluation_seconds > 0
@@ -359,21 +425,21 @@ class TestBackendRobustness:
         """A sleeping receiver is woken by the failure token, not by its timeout."""
         import time as time_module
 
-        backend = create_backend("threads", machines=1, receive_timeout=30)
-        mailbox = backend.mailbox("never-written")
+        with threads_session(receive_timeout=30) as backend:
+            mailbox = backend.mailbox("never-written")
 
-        def waiting_body():
-            yield Receive(mailbox)
+            def waiting_body():
+                yield Receive(mailbox)
 
-        def failing_body():
-            raise RuntimeError("boom")
-            yield Compute(0.0)  # pragma: no cover — makes this a generator
+            def failing_body():
+                raise RuntimeError("boom")
+                yield Compute(0.0)  # pragma: no cover — makes this a generator
 
-        backend.spawn(waiting_body(), name="waiter")
-        backend.spawn(failing_body(), name="bad-worker")
-        started = time_module.monotonic()
-        with pytest.raises(BackendError):
-            backend.run()
+            backend.spawn(waiting_body(), name="waiter")
+            backend.spawn(failing_body(), name="bad-worker")
+            started = time_module.monotonic()
+            with pytest.raises(BackendError):
+                backend.run()
         # Well under the 30s receive timeout: the wake token did its job.
         assert time_module.monotonic() - started < 5
 
@@ -391,23 +457,23 @@ class TestBackendRobustness:
         assert drain_fifo(fifo, settle_timeout=0.05) == 1
 
     def test_threads_backend_surfaces_worker_failure(self):
-        backend = create_backend("threads", machines=1, receive_timeout=5)
+        with threads_session(receive_timeout=5) as backend:
 
-        def failing_body():
-            raise RuntimeError("boom")
-            yield Compute(0.0)  # pragma: no cover — makes this a generator
+            def failing_body():
+                raise RuntimeError("boom")
+                yield Compute(0.0)  # pragma: no cover — makes this a generator
 
-        backend.spawn(failing_body(), name="bad-worker")
-        with pytest.raises(BackendError, match="bad-worker"):
-            backend.run()
+            backend.spawn(failing_body(), name="bad-worker")
+            with pytest.raises(BackendError, match="bad-worker"):
+                backend.run()
 
     def test_threads_backend_receive_times_out(self):
-        backend = create_backend("threads", machines=1, receive_timeout=0.2)
-        mailbox = backend.mailbox("never-written")
+        with threads_session(receive_timeout=0.2) as backend:
+            mailbox = backend.mailbox("never-written")
 
-        def waiting_body():
-            yield Receive(mailbox)
+            def waiting_body():
+                yield Receive(mailbox)
 
-        backend.spawn(waiting_body(), name="waiter")
-        with pytest.raises(BackendError, match="waiter"):
-            backend.run()
+            backend.spawn(waiting_body(), name="waiter")
+            with pytest.raises(BackendError, match="waiter"):
+                backend.run()

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -147,6 +148,61 @@ class TestHandshake:
             assert "version mismatch" in reply["reason"]
         finally:
             coordinator.shutdown()
+
+
+class TestCoordinatorShutdown:
+    def test_shutdown_while_a_connection_is_being_published(self, monkeypatch):
+        """shutdown() racing a worker's handshake must neither raise nor leave
+        the connection's writer thread running.
+
+        The writer's start() is held open with an event, which pins the serving
+        thread between "connection published" and "writer running" for as long
+        as the test likes; shutdown() is called right there.
+        """
+        from repro.cluster import ClusterCoordinator
+        from repro.cluster import coordinator as coordinator_module
+
+        at_writer_start = threading.Event()
+        release_writer = threading.Event()
+        writers = []
+
+        class GatedThread(threading.Thread):
+            def start(self):
+                if self.name.startswith("repro-cluster-writer-"):
+                    writers.append(self)
+                    at_writer_start.set()
+                    release_writer.wait(timeout=10.0)
+                super().start()
+
+        gated = types.ModuleType("threading")
+        gated.__dict__.update(vars(threading))
+        gated.Thread = GatedThread
+        monkeypatch.setattr(coordinator_module, "threading", gated)
+
+        coordinator = ClusterCoordinator("127.0.0.1", 0).start()
+        with socket.create_connection(coordinator.address, timeout=5.0) as sock:
+            wire.send_message(sock.makefile("wb"), wire.hello("worker", "gated"))
+            assert at_writer_start.wait(timeout=10.0)
+
+            errors = []
+
+            def stop():
+                try:
+                    coordinator.shutdown()
+                except BaseException as error:  # noqa: BLE001 — the assertion below
+                    errors.append(error)
+
+            stopper = threading.Thread(target=stop, name="test-shutdown")
+            stopper.start()
+            # Give shutdown() every chance to reach the writer before it starts.
+            stopper.join(timeout=1.0)
+            release_writer.set()
+            stopper.join(timeout=15.0)
+        assert not stopper.is_alive()
+        assert errors == []
+        assert len(writers) == 1
+        writers[0].join(timeout=5.0)
+        assert not writers[0].is_alive()
 
 
 # --------------------------------------------------------------------- hash ring

@@ -4,12 +4,18 @@
 and every advertised name must actually resolve.  A deliberate surface change
 updates the snapshot here in the same commit; an accidental export (or a dropped
 one) fails CI.
+
+Deliberate removals so far: ``create_backend`` (one-shot backends are gone; a
+``backend=`` name now borrows a short-lived substrate from ``create_substrate``)
+and ``evaluate_expression_parallel`` (use ``Compiler("exprlang")``).
 """
 
 from __future__ import annotations
 
 import repro
 import repro.api
+import repro.backends
+import repro.exprlang
 
 #: The one front door plus the stable building blocks underneath it.
 EXPECTED_REPRO_ALL = sorted([
@@ -34,7 +40,6 @@ EXPECTED_REPRO_ALL = sorted([
     "BACKEND_NAMES",
     "SharedBundle",
     "Substrate",
-    "create_backend",
     "create_substrate",
     # the parallel-compilation engine and service layer
     "CompilationJob",
@@ -59,9 +64,8 @@ EXPECTED_REPRO_ALL = sorted([
     "st_add",
     "st_create",
     "st_lookup",
-    # legacy expression-language entry points (deprecated shims included)
+    # legacy expression-language entry points
     "evaluate_expression",
-    "evaluate_expression_parallel",
     "expression_grammar",
     "parse_expression",
     # the repro.api front door
@@ -118,6 +122,13 @@ def test_every_advertised_name_resolves():
         assert getattr(repro, name) is not None, name
     for name in repro.api.__all__:
         assert getattr(repro.api, name) is not None, name
+
+
+def test_removed_names_stay_removed():
+    for name in ("create_backend", "evaluate_expression_parallel"):
+        assert not hasattr(repro, name), name
+    assert not hasattr(repro.backends, "create_backend")
+    assert not hasattr(repro.exprlang, "evaluate_expression_parallel")
 
 
 def test_no_duplicate_exports():

@@ -120,27 +120,26 @@ class TestSegmentLifecycle:
 
     @requires_fork
     def test_backend_close_releases_adopted_segments(self, split_grammar, big_tree):
-        from repro.backends import create_backend
+        from repro.backends import create_substrate
 
-        backend = create_backend("processes", machines=2)
-        try:
-            assert backend.shared_ship
-            handle, segment = shm.share_packed(pack(split_grammar, big_tree))
-            backend.adopt_segment(segment)
-        finally:
-            backend.close()
-        assert handle.segment_name not in shm.live_segment_names()
-        assert handle.segment_name not in shm.system_segment_names()
-
-    def test_only_processes_substrate_advertises_shared_ship(self):
-        from repro.backends import create_backend
-
-        for name in ("simulated", "threads", "sockets"):
-            backend = create_backend(name, machines=2)
+        with create_substrate("processes") as pool:
+            backend = pool.session(2)
             try:
-                assert not getattr(backend, "shared_ship", False)
+                assert backend.shared_ship
+                handle, segment = shm.share_packed(pack(split_grammar, big_tree))
+                backend.adopt_segment(segment)
             finally:
                 backend.close()
+            assert handle.segment_name not in shm.live_segment_names()
+            assert handle.segment_name not in shm.system_segment_names()
+
+    def test_only_processes_substrate_advertises_shared_ship(self):
+        from repro.backends import create_substrate
+
+        for name in ("simulated", "threads", "sockets"):
+            with create_substrate(name) as pool:
+                with pool.session(2) as backend:
+                    assert not getattr(backend, "shared_ship", False)
 
 
 class TestShipFaultInjection:
